@@ -45,7 +45,7 @@ usage:
         [--pretrain-noise=f1,f2,...]   (noise families mixed into
           pretraining, e.g. uniform,gaussian,lognormal,mixture)
   xpdnn model-all <archive.txt|.arch> [--group-tolerance=T] [--net=...] [--seed=S]
-        [--report=json]
+        [--report=json] [--no-timings]
   xpdnn modelers       (list the registered modeling paths)
   xpdnn noise <measurements.txt|.arch> [--report=json]
   xpdnn convert <input> <output> [--to=text|binary]   (lossless text<->binary
@@ -80,8 +80,8 @@ usage:
   xpdnn request --port=N '<json>'   (send one daemon request, print the reply)
   xpdnn help
 
-`model` also accepts --no-timings (zero the report's wall-clock block, for
-byte-reproducible --report=json output).
+`model` and `model-all` also accept --no-timings (zero the report's
+wall-clock block, for byte-reproducible --report=json output).
 
 measurement file format (see measure/io.hpp):
   params: p n
@@ -236,10 +236,15 @@ int cmd_model_all(const xpcore::CliArgs& args, std::ostream& out, std::ostream& 
     for (const auto& entry : archive.entries()) {
         tasks.push_back({entry.kernel + "/" + entry.metric, entry.experiments});
     }
-    const auto batch = session.run_batch(tasks);
+    auto batch = session.run_batch(tasks);
 
     if (as_report) {
-        for (const auto& report : batch.reports) out << modeling::to_json(report) << "\n";
+        // Same contract as `model`: --no-timings makes the JSON byte-comparable.
+        const bool no_timings = args.get_bool("no-timings", false);
+        for (auto& report : batch.reports) {
+            if (no_timings) report.timings = modeling::Timings{};
+            out << modeling::to_json(report) << "\n";
+        }
         return 0;
     }
     xpcore::Table table({"kernel", "noise %", "path", "cv-smape %", "model"});

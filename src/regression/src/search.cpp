@@ -4,6 +4,8 @@
 #include <set>
 #include <stdexcept>
 
+#include "factor_table.hpp"
+#include "xpcore/metrics.hpp"
 #include "xpcore/stats.hpp"
 #include "xpcore/thread_pool.hpp"
 
@@ -19,17 +21,23 @@ std::vector<RankedCandidate> rank_single_parameter(std::span<const double> xs,
     points.reserve(xs.size());
     for (double x : xs) points.push_back({x});
 
+    // Every class is evaluated once per point up front; the pool only reads
+    // the table.
+    const auto classes = pmnf::exponent_set();
+    detail::FactorTable table(points);
+    std::vector<detail::TableShape> shapes(classes.size());
+    for (std::size_t i = 0; i < classes.size(); ++i) {
+        if (!classes[i].is_constant()) shapes[i].terms.push_back({table.column({0, classes[i]})});
+    }
+
     // The 43 hypotheses are independent; score them across the pool. Each
     // index writes its own slot, so the result is order-deterministic.
-    const auto classes = pmnf::exponent_set();
     std::vector<RankedCandidate> ranked(classes.size());
     xpcore::parallel_for(
         xpcore::ThreadPool::global(), classes.size(),
         [&](std::size_t begin, std::size_t end) {
             for (std::size_t i = begin; i < end; ++i) {
-                CandidateShape shape;
-                if (!classes[i].is_constant()) shape.terms.push_back({{0, classes[i]}});
-                ranked[i] = {classes[i], cross_validated_smape(shape, points, ys, max_folds)};
+                ranked[i] = {classes[i], detail::cv_smape(shapes[i], table, ys, max_folds)};
             }
         },
         /*grain=*/8);
@@ -141,23 +149,31 @@ std::vector<ModelResult> rank_combinations(
     for (const auto& m : set.measurements()) points.push_back(m.point);
     const std::vector<double> values = measure::aggregate_all(set, aggregation);
 
+    // Every factor of every shape is evaluated once per point up front, so
+    // the folds, the final fits and the predictions below only read the
+    // table.
+    const auto shapes = build_combinations(per_parameter_choices);
+    detail::FactorTable table(points);
+    std::vector<detail::TableShape> indexed;
+    indexed.reserve(shapes.size());
+    for (const auto& shape : shapes) indexed.push_back(detail::index_shape(shape, table));
+
     struct Scored {
         double cv_smape;
         std::size_t coefficients;
-        const CandidateShape* shape;
+        std::size_t shape;
     };
     // Cross-validating the candidate shapes fans out over independent
     // hypothesis combinations — the dominant cost of model selection for
     // multi-parameter sets. Slot-indexed writes keep the ranking (and the
     // stable_sort tie-breaks below) identical for any thread count.
-    const auto shapes = build_combinations(per_parameter_choices);
     std::vector<Scored> scored(shapes.size());
     xpcore::parallel_for(
         xpcore::ThreadPool::global(), shapes.size(),
         [&](std::size_t begin, std::size_t end) {
             for (std::size_t i = begin; i < end; ++i) {
-                scored[i] = {cross_validated_smape(shapes[i], points, values, max_folds),
-                             shapes[i].coefficient_count(), &shapes[i]};
+                scored[i] = {detail::cv_smape(indexed[i], table, values, max_folds),
+                             shapes[i].coefficient_count(), i};
             }
         },
         /*grain=*/4);
@@ -167,15 +183,20 @@ std::vector<ModelResult> rank_combinations(
         return a.coefficients < b.coefficients;
     });
 
+    std::vector<double> predicted(points.size());
     std::vector<ModelResult> ranked;
     for (const auto& entry : scored) {
         if (ranked.size() >= keep) break;
-        const auto fitted = fit_shape(*entry.shape, points, values);
-        if (!fitted) continue;  // degenerate shape: skip, try the next one
+        const auto& shape = indexed[entry.shape];
+        const auto coefficients = detail::fit_rows(shape, table, values, {});
+        if (!coefficients) continue;  // degenerate shape: skip, try the next one
+        for (std::size_t i = 0; i < points.size(); ++i) {
+            predicted[i] = detail::predict(shape, table, *coefficients, i);
+        }
         ModelResult result;
-        result.model = *fitted;
+        result.model = detail::to_model(shapes[entry.shape], *coefficients);
         result.cv_smape = entry.cv_smape;
-        result.fit_smape = model_smape(*fitted, points, values);
+        result.fit_smape = xpcore::smape(predicted, values);
         ranked.push_back(std::move(result));
     }
     if (ranked.empty()) {

@@ -246,6 +246,39 @@ TEST(Cli, ModelAllModelsArchiveWithBatchAdaptation) {
     std::filesystem::remove_all(dir);
 }
 
+TEST(Cli, ModelAllNoTimingsZeroesEveryReportsTimings) {
+    const std::string dir = ::testing::TempDir() + "/xpdnn_cli_modelall_no_timings_" +
+                            std::to_string(::getpid());
+    std::filesystem::create_directories(dir);
+    ::setenv("XPDNN_CACHE_DIR", dir.c_str(), 1);
+    const std::string path = dir + "/archive.txt";
+    ASSERT_EQ(run_cli({"simulate", "relearn", "--all-kernels", "--out=" + path}).code, 0);
+
+    const std::vector<std::string> argv = {"model-all", path, "--net=tiny", "--report=json",
+                                           "--no-timings"};
+    const auto first = run_cli(argv);
+    const auto second = run_cli(argv);
+    const auto timed = run_cli({"model-all", path, "--net=tiny", "--report=json"});
+    ::unsetenv("XPDNN_CACHE_DIR");
+    std::filesystem::remove_all(dir);
+    ASSERT_EQ(first.code, 0) << first.err;
+    ASSERT_EQ(timed.code, 0) << timed.err;
+
+    // One report per line, each with a zeroed timings block, and the whole
+    // output byte-identical across runs.
+    const std::string zeroed =
+        "\"timings\": {\"regression_seconds\": 0, \"dnn_seconds\": 0, \"total_seconds\": 0}";
+    std::istringstream lines(first.out);
+    std::size_t reports = 0;
+    for (std::string line; std::getline(lines, line); ++reports) {
+        EXPECT_NE(line.find(zeroed), std::string::npos) << line;
+    }
+    EXPECT_GT(reports, 1u);
+    EXPECT_EQ(first.out, second.out);
+    // Without the flag the wall-clock timings are reported.
+    EXPECT_EQ(timed.out.find(zeroed), std::string::npos);
+}
+
 TEST(Cli, ModelAllMissingFileFails) {
     EXPECT_EQ(run_cli({"model-all"}).code, 1);
     EXPECT_EQ(run_cli({"model-all", "/nonexistent.txt"}).code, 2);

@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "dnn/modeler.hpp"
@@ -15,6 +19,8 @@
 #include "nn/tensor.hpp"
 #include "nn/trainer.hpp"
 #include "pmnf/exponents.hpp"
+#include "pmnf/serialize.hpp"
+#include "regression/modeler.hpp"
 #include "regression/search.hpp"
 #include "xpcore/rng.hpp"
 #include "xpcore/simd.hpp"
@@ -247,6 +253,95 @@ TEST_F(GlobalPoolSweep, CandidateClassesIdenticalAcrossThreadCounts) {
                 }
             }
         }
+    }
+}
+
+/// A noisy full 5^3 grid with a compound term: the regression-grid shape,
+/// where the CV search fans out over hundreds of shapes.
+measure::ExperimentSet noisy_grid_set(std::uint64_t seed) {
+    xpcore::Rng rng(seed);
+    measure::ExperimentSet set({"p", "n", "s"});
+    for (double p : {4.0, 8.0, 16.0, 32.0, 64.0}) {
+        for (double n : {10.0, 20.0, 40.0, 80.0, 160.0}) {
+            for (double s : {1.0, 2.0, 3.0, 4.0, 5.0}) {
+                const double truth = 3.0 + 0.2 * p * std::log2(n) + 0.05 * s * s;
+                std::vector<double> reps;
+                for (int r = 0; r < 5; ++r) {
+                    reps.push_back(truth * (1.0 + rng.uniform(-0.05, 0.05)));
+                }
+                set.add({p, n, s}, reps);
+            }
+        }
+    }
+    return set;
+}
+
+/// DNN-style candidates: three classes per parameter plus the constant.
+std::vector<std::vector<pmnf::TermClass>> dnn_style_candidates() {
+    using pmnf::Rational;
+    return {{{Rational(1), 0}, {Rational(1), 1}, {Rational(3, 2), 0}, {}},
+            {{Rational(0), 1}, {Rational(1, 2), 0}, {Rational(1), 0}, {}},
+            {{Rational(2), 0}, {Rational(1), 0}, {Rational(0), 1}, {}}};
+}
+
+/// Every double of the results as its exact bits, plus the model JSON.
+std::string fingerprint(const std::vector<regression::ModelResult>& results) {
+    std::string out;
+    for (const auto& result : results) {
+        char buffer[64];
+        std::snprintf(buffer, sizeof buffer, "%a %a ", result.cv_smape, result.fit_smape);
+        out += buffer + pmnf::to_json(result.model) + "\n";
+    }
+    return out;
+}
+
+TEST_F(GlobalPoolSweep, RegressionSearchBitIdenticalAcrossThreadCounts) {
+    const auto set = noisy_grid_set(17);
+    const regression::RegressionModeler modeler;
+    const auto candidates = dnn_style_candidates();
+
+    std::string alternatives_baseline, selection_baseline;
+    for (std::size_t workers : {0u, 1u, 4u}) {
+        xpcore::ThreadPool::reset_global(workers);
+        const std::string alternatives = fingerprint(modeler.model_alternatives(set, 3));
+        const std::string selection =
+            fingerprint({regression::select_best_combination(set, candidates)});
+        if (workers == 0) {
+            alternatives_baseline = alternatives;
+            selection_baseline = selection;
+            EXPECT_EQ(std::count(alternatives.begin(), alternatives.end(), '\n'), 3);
+        } else {
+            EXPECT_EQ(alternatives, alternatives_baseline) << workers << " workers";
+            EXPECT_EQ(selection, selection_baseline) << workers << " workers";
+        }
+    }
+}
+
+TEST_F(GlobalPoolSweep, ConcurrentRegressionSearchesOnSerialPoolMatchSerialAnswer) {
+    // Two sessions modeling at once on the serial pool, as the daemon's
+    // workers do: every search must own its state, so each thread gets the
+    // answer a lone serial call gives.
+    xpcore::ThreadPool::reset_global(0);
+    const regression::RegressionModeler modeler;
+    const std::vector<measure::ExperimentSet> sets = {noisy_grid_set(1), noisy_grid_set(2)};
+    std::vector<std::string> serial;
+    for (const auto& set : sets) serial.push_back(fingerprint(modeler.model_alternatives(set, 3)));
+    ASSERT_NE(serial[0], serial[1]);
+
+    constexpr int kRounds = 4;
+    std::vector<std::vector<std::string>> concurrent(sets.size());
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < sets.size(); ++t) {
+        threads.emplace_back([&, t] {
+            for (int round = 0; round < kRounds; ++round) {
+                concurrent[t].push_back(fingerprint(modeler.model_alternatives(sets[t], 3)));
+            }
+        });
+    }
+    for (auto& thread : threads) thread.join();
+    for (std::size_t t = 0; t < sets.size(); ++t) {
+        ASSERT_EQ(concurrent[t].size(), static_cast<std::size_t>(kRounds));
+        for (const auto& answer : concurrent[t]) EXPECT_EQ(answer, serial[t]) << "thread " << t;
     }
 }
 

@@ -283,6 +283,14 @@ struct CorpusCase {
     const char* message;  ///< substring the diagnostic must contain
 };
 
+// gtest puts the printed parameter into every listed test name. Its default
+// byte dump would include the address of `file`, which differs per process
+// under ASLR, so the test names would change on every build. The name
+// already carries the file, so print the expected line:column.
+void PrintTo(const CorpusCase& c, std::ostream* os) {
+    *os << c.line << ':' << c.column;
+}
+
 class IoBadCorpus : public ::testing::TestWithParam<CorpusCase> {};
 
 TEST_P(IoBadCorpus, RejectsWithStructuredDiagnostic) {

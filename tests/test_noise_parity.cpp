@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,15 @@ struct Golden {
     double cv_smape;  // regression selection CV score, exact
     const char* model_json;
 };
+
+/// Both sides of an exact comparison at full precision: gtest's default
+/// six digits print "8.16147 vs 8.16147" for values that differ in the
+/// last bits.
+std::string exact_pair(double actual, double golden) {
+    char buffer[96];
+    std::snprintf(buffer, sizeof buffer, "actual %.17g, golden %.17g", actual, golden);
+    return buffer;
+}
 
 // Captured from the pre-refactor binary; see file comment.
 const std::vector<Golden> kGoldens = {
@@ -82,9 +92,11 @@ TEST(NoiseParity, UniformPathIsByteIdenticalOnCaseStudySnapshot) {
             EXPECT_EQ(task, golden.task);
             // Bitwise equality, not EXPECT_NEAR: the refactor promises the
             // identical floating-point computation, not a close one.
-            EXPECT_EQ(noise::estimate_noise(set), golden.noise) << task;
+            const double noise = noise::estimate_noise(set);
+            EXPECT_EQ(noise, golden.noise) << task << ": " << exact_pair(noise, golden.noise);
             const auto result = regression::RegressionModeler().model(set);
-            EXPECT_EQ(result.cv_smape, golden.cv_smape) << task;
+            EXPECT_EQ(result.cv_smape, golden.cv_smape)
+                << task << ": " << exact_pair(result.cv_smape, golden.cv_smape);
             EXPECT_EQ(pmnf::to_json(result.model), golden.model_json) << task;
             ++taken;
             ++index;
