@@ -64,8 +64,7 @@ usage:
   xpdnn store <dir> [--evict=N] [--prefix=P]   (inspect an on-disk durable
         store: entry/byte counts and repair tally; --evict=N keeps only the
         N newest entries. --prefix defaults to the daemon report store,
-        "xpdnn_report"; the pretrain cache uses "xpdnn_pretrained", the
-        GEMM autotuner "gemm_tune")
+        "xpdnn_report"; the pretrain cache uses "xpdnn_pretrained")
   xpdnn predict <model.json|report.json> x1 [x2 ...]
   xpdnn simulate <kripke|fastest|relearn> [kernel] --out=<file> [--seed=S]
         [--all-kernels]   (emit a multi-kernel archive for model-all)

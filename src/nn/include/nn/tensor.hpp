@@ -17,11 +17,11 @@
 /// xpcore::simd::active_level() once per product and dispatch to the packed
 /// AVX-512 or AVX2/FMA microkernel in xpcore (see xpcore/simd_kernels.hpp);
 /// at Level::Scalar they run the blocked scalar loops below, which are
-/// bit-identical to the pre-SIMD library. The first vector-level product in
-/// a process triggers the startup GEMM autotuner (xpcore/gemm_tune.hpp).
-/// The SIMD results differ from scalar only by FMA contraction and
-/// summation-tree shape (tolerance-pinned in tests/test_simd_parity.cpp)
-/// and remain bit-identical across thread counts at any fixed level.
+/// bit-identical to the pre-SIMD library. Each vector level runs one
+/// compiled cache blocking (xpcore/simd_kernels.hpp). The SIMD results
+/// differ from scalar only by FMA contraction and summation-tree shape
+/// (tolerance-pinned in tests/test_simd_parity.cpp) and remain
+/// bit-identical across thread counts at any fixed level.
 ///
 /// Tensor storage is 64-byte aligned (xpcore/aligned.hpp): cache-line and
 /// zmm-register boundaries for the vector kernels, asserted by the

@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "xpcore/gemm_tune.hpp"
 #include "xpcore/rng.hpp"
 #include "xpcore/simd.hpp"
 #include "xpcore/simd_kernels.hpp"
@@ -167,8 +166,7 @@ void gemm_tn_range(const Tensor& a, const Tensor& b, Tensor& c, bool accumulate,
 /// The packed SIMD kernel for a dispatch level, or nullptr for the scalar
 /// path. The level is sampled once per product so every row range of one
 /// call runs the same kernel even if the level changes concurrently (tests
-/// flip it between calls, never mid-call); the first vector-level call per
-/// process runs the startup autotuner before any kernel executes.
+/// flip it between calls, never mid-call).
 using SimdGemmFn = void (*)(std::size_t, std::size_t, std::size_t, const float*,
                             std::size_t, bool, const float*, std::size_t, bool, float*,
                             std::size_t, bool, std::size_t, std::size_t);
@@ -176,7 +174,6 @@ using SimdGemmFn = void (*)(std::size_t, std::size_t, std::size_t, const float*,
 SimdGemmFn select_simd_gemm() {
     const xpcore::simd::Level level = xpcore::simd::active_level();
     if (level == xpcore::simd::Level::Scalar) return nullptr;
-    xpcore::simd::ensure_gemm_tuned(level);
     return level == xpcore::simd::Level::Avx512 ? xpcore::simd::gemm_f32_avx512
                                                 : xpcore::simd::gemm_f32_avx2;
 }

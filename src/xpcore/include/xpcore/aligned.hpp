@@ -12,10 +12,10 @@
 /// asserts the alignment so a silent fallback to the default allocator
 /// would be caught.
 ///
-/// Allocation goes through the aligned global operator new, so tools that
-/// interpose the allocator (the counting allocators in the zero-alloc test
-/// and tools/bench_record) observe these allocations by also interposing
-/// the align_val_t forms.
+/// Allocation goes through the aligned global operator new, so code that
+/// interposes the allocator (the counting allocator in the zero-alloc
+/// test) observes these allocations by also interposing the align_val_t
+/// forms.
 
 #include <cstddef>
 #include <new>

@@ -1,14 +1,13 @@
 #pragma once
 
 /// \file provenance.hpp
-/// The machine-provenance block shared by every BENCH_*.json emitter.
+/// The machine-provenance block stamped into benchmark result documents.
 ///
 /// A benchmark number without the machine it was measured on is noise in
-/// the trajectory. tools/bench_record (BENCH_nn.json) and
-/// bench/serve_throughput (BENCH_serve.json) both stamp their output with
-/// the same JSON object: CPU model, best SIMD dispatch level, hardware
-/// thread count, detected cache hierarchy, and the autotuned GEMM blocking
-/// per level (with its source: probed, cached, env, or default).
+/// the trajectory. The block is one JSON object: CPU model, best SIMD
+/// dispatch level, hardware thread count, the cache hierarchy read from
+/// sysfs, and the compiled GEMM cache blocking of every vector level the
+/// host runs.
 
 #include <string>
 

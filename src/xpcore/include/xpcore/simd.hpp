@@ -56,13 +56,14 @@ void reset_level();
 const char* level_name(Level level);
 
 /// Parse a level name ("scalar"/"0"/"off", "avx2", "avx512"); anything else
-/// (including "1"/"auto") means "best available". Shared by the XPDNN_SIMD
-/// parser and the benches.
+/// (including "1"/"auto") means "best available". Used by the XPDNN_SIMD
+/// parser.
 Level parse_level(const char* name);
 
 /// The CPU brand string from CPUID (e.g. "Intel(R) Xeon(R) ..."), or
-/// "unknown" where the leaf is unavailable. Recorded by tools/bench_record
-/// so bench trajectories across machines stay interpretable.
+/// "unknown" where the leaf is unavailable. Recorded in the machine
+/// provenance block so bench trajectories across machines stay
+/// interpretable.
 const char* cpu_model_string();
 
 /// RAII scope that pins the dispatch level and restores the previous state

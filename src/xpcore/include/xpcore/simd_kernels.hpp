@@ -17,7 +17,7 @@
 ///    (resp. 16-lane) tile layout; relative error vs. the scalar kernels is
 ///    O(k * eps_f32). Accumulation order per element is fixed by the
 ///    (k-panel, lane) position only, so results are bit-identical across
-///    thread counts and batch row counts at a fixed level and blocking.
+///    thread counts and batch row counts at a fixed level.
 ///  - tanh_f32_*: rational approximation R(x) = x * P(x^2) / Q(x^2) on the
 ///    clamped range [-9, 9]; max absolute error vs. std::tanh over [-20, 20]
 ///    is < 5e-7 (measured ~1.1e-7). Both widths evaluate the identical
@@ -37,24 +37,13 @@ namespace xpcore::simd {
 /// Cache-blocking parameters of a packed-panel GEMM level: the k panel
 /// depth (KC), the packed row block (MC, a multiple of the microkernel
 /// row count) and the packed column block (NC, a multiple of the
-/// microkernel column width). Installed per level by the startup autotuner
-/// (xpcore/gemm_tune.hpp) or explicitly via set_gemm_blocking_*.
-///
-/// Blocking is a *within-process* constant in practice: KC changes the
-/// floating-point summation grouping, so two processes tuned differently
-/// produce last-ulp-different GEMMs — but within one process results stay
-/// bit-identical across thread counts for any fixed blocking, which is the
-/// determinism contract the library makes.
+/// microkernel column width). Each level compiles in one constant
+/// blocking: KC sets the floating-point summation grouping, so a blocking
+/// chosen at run time would let two processes disagree in the last ulp.
 struct GemmBlocking {
     std::size_t kc = 0;
     std::size_t mc = 0;
     std::size_t nc = 0;
-};
-
-/// Register microkernel tile of a GEMM level (rows x columns).
-struct GemmTile {
-    std::size_t mr = 0;
-    std::size_t nr = 0;
 };
 
 // ---- AVX2 ------------------------------------------------------------------
@@ -62,14 +51,9 @@ struct GemmTile {
 /// True when the binary contains the AVX2 kernels (x86 + compiler support).
 bool compiled_with_avx2();
 
-/// The AVX2 microkernel tile (6 x 16) and the active / compiled-in default
-/// blocking. set_gemm_blocking_avx2 clamps and rounds its argument to legal
-/// values (kc >= 8, mc a positive multiple of mr, nc a positive multiple
-/// of nr).
-GemmTile gemm_tile_avx2();
+/// The compiled blocking of the AVX2 kernel (6 x 16 microkernel tile):
+/// kc 256, mc 96, nc 768. Recorded in the machine provenance block.
 GemmBlocking gemm_blocking_avx2();
-GemmBlocking default_gemm_blocking_avx2();
-void set_gemm_blocking_avx2(GemmBlocking blocking);
 
 /// General packed-panel SGEMM over an output-row range:
 ///   C[i0..i1, :] = (or +=) op_a(A) * op_b(B)
@@ -106,13 +90,10 @@ void adamax_update_avx2(float* w, float* g, float* m, float* u, std::size_t n,
 /// support for -mavx512f/vl/bw/dq).
 bool compiled_with_avx512();
 
-/// The AVX-512 microkernel tile (14 x 32: 28 zmm accumulators, one
-/// broadcast, two B loads — 31 of the 32 vector registers) and its
-/// blocking controls, with the same rounding rules as the AVX2 setters.
-GemmTile gemm_tile_avx512();
+/// The compiled blocking of the AVX-512 kernel (14 x 32 microkernel tile:
+/// 28 zmm accumulators, one broadcast, two B loads — 31 of the 32 vector
+/// registers): kc 256, mc 140, nc 960.
 GemmBlocking gemm_blocking_avx512();
-GemmBlocking default_gemm_blocking_avx512();
-void set_gemm_blocking_avx512(GemmBlocking blocking);
 
 /// AVX-512 counterparts of the AVX2 entry points above; identical calling
 /// conventions and numerical contracts, wider tiles and masked tails.

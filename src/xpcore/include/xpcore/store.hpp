@@ -4,15 +4,11 @@
 /// The durable-state layer: one keyed, versioned, checksummed blob store
 /// shared by every persistence site in the tree.
 ///
-/// Before this layer existed the repo had three hand-rolled copies of the
-/// same discipline — the dnn pretrain cache, the GEMM autotuner cache, and
-/// the archive Writer each wrote temp(pid)+rename with subtly different
-/// corruption/repair semantics. They now all sit on the two primitives
-/// below (`temp_path_for` + `atomic_publish`, `quarantine_corrupt`) and,
-/// for keyed blobs, on `store::Store`:
+/// Every persistence site sits on the two primitives below
+/// (`temp_path_for` + `atomic_publish`, `quarantine_corrupt`) and, for
+/// keyed blobs, on `store::Store`:
 ///
 ///  - the dnn pretrain cache (dnn/cache.cpp, prefix "xpdnn_pretrained"),
-///  - the GEMM autotuner cache (xpcore/gemm_tune.cpp, prefix "gemm_tune"),
 ///  - the daemon's persistent report store (serve, prefix "xpdnn_report"),
 ///
 /// while xpcore::archive::Writer uses the primitives directly (its payload

@@ -17,12 +17,10 @@
 ///     element the k-accumulation order depends only on the pc split and
 ///     the microkernel's k loop, never on the row range, so results are
 ///     bit-identical for any thread partition and any batch row count.
-///   - KC/MC/NC are runtime parameters (atomics, sampled once per call):
-///     the startup autotuner (xpcore/gemm_tune.hpp) installs values probed
-///     against the host's cache hierarchy; the compiled defaults below are
-///     the fallback for XPDNN_GEMM_TUNE=off and non-tuned processes.
-///   - Packing buffers are thread_local and grow to the largest blocking
-///     seen; steady-state calls perform no heap allocation.
+///   - KC/MC/NC are one compiled constant (kBlocking below), so every
+///     process on every host groups the k sums the same way.
+///   - Packing buffers are thread_local and sized on first use;
+///     steady-state calls perform no heap allocation.
 ///
 /// All loads/stores are unaligned variants (loadu/storeu): tensors are
 /// 64-byte aligned (xpcore/aligned.hpp) but packed-panel interiors are not,
@@ -31,7 +29,6 @@
 
 #include "xpcore/simd_kernels.hpp"
 
-#include <atomic>
 #include <cstdlib>
 
 #include "simd_poly.hpp"
@@ -42,37 +39,15 @@ namespace {
 
 constexpr std::size_t kMR = 6;           // microkernel rows
 constexpr std::size_t kNR = 16;          // microkernel cols (2 ymm)
-constexpr std::size_t kDefaultKC = 256;  // k panel
-constexpr std::size_t kDefaultMC = 96;   // row block (16 micro-panels of 6)
-constexpr std::size_t kDefaultNC = 768;  // col block (48 micro-panels of 16)
+// The one cache blocking of this level (kc, mc, nc): the k panel, the row
+// block (16 micro-panels of 6) and the column block (48 micro-panels of 16).
+constexpr GemmBlocking kBlocking{256, 96, 768};
 
-static_assert(kDefaultMC % kMR == 0 && kDefaultNC % kNR == 0);
-
-std::atomic<std::size_t> g_kc{kDefaultKC};
-std::atomic<std::size_t> g_mc{kDefaultMC};
-std::atomic<std::size_t> g_nc{kDefaultNC};
+static_assert(kBlocking.mc % kMR == 0 && kBlocking.nc % kNR == 0);
 
 }  // namespace
 
-GemmTile gemm_tile_avx2() { return {kMR, kNR}; }
-
-GemmBlocking default_gemm_blocking_avx2() { return {kDefaultKC, kDefaultMC, kDefaultNC}; }
-
-GemmBlocking gemm_blocking_avx2() {
-    return {g_kc.load(std::memory_order_relaxed), g_mc.load(std::memory_order_relaxed),
-            g_nc.load(std::memory_order_relaxed)};
-}
-
-void set_gemm_blocking_avx2(GemmBlocking blocking) {
-    // Clamp to legal kernel parameters: the panel loops require kc >= 8 and
-    // MC/NC to be positive multiples of the microkernel tile.
-    const std::size_t kc = blocking.kc < 8 ? 8 : blocking.kc;
-    const std::size_t mc = blocking.mc < kMR ? kMR : blocking.mc - blocking.mc % kMR;
-    const std::size_t nc = blocking.nc < kNR ? kNR : blocking.nc - blocking.nc % kNR;
-    g_kc.store(kc, std::memory_order_relaxed);
-    g_mc.store(mc, std::memory_order_relaxed);
-    g_nc.store(nc, std::memory_order_relaxed);
-}
+GemmBlocking gemm_blocking_avx2() { return kBlocking; }
 
 }  // namespace xpcore::simd
 
@@ -286,17 +261,14 @@ void gemm_f32_avx2(std::size_t m, std::size_t n, std::size_t k, const float* a,
     }
     if (k == 0) return;
 
-    // Sampled once per call: every row range of one logical product uses
-    // the same blocking even if the autotuner runs concurrently.
-    const GemmBlocking blk = gemm_blocking_avx2();
-    PackBuffers& buffers = pack_buffers(blk.kc, blk.mc, blk.nc);
-    for (std::size_t jc = 0; jc < n; jc += blk.nc) {
-        const std::size_t nc = std::min(blk.nc, n - jc);
-        for (std::size_t pc = 0; pc < k; pc += blk.kc) {
-            const std::size_t kc = std::min(blk.kc, k - pc);
+    PackBuffers& buffers = pack_buffers(kBlocking.kc, kBlocking.mc, kBlocking.nc);
+    for (std::size_t jc = 0; jc < n; jc += kBlocking.nc) {
+        const std::size_t nc = std::min(kBlocking.nc, n - jc);
+        for (std::size_t pc = 0; pc < k; pc += kBlocking.kc) {
+            const std::size_t kc = std::min(kBlocking.kc, k - pc);
             pack_b(buffers.b.data(), b, ldb, trans_b, pc, kc, jc, nc);
-            for (std::size_t ic = i0; ic < i1; ic += blk.mc) {
-                const std::size_t mc = std::min(blk.mc, i1 - ic);
+            for (std::size_t ic = i0; ic < i1; ic += kBlocking.mc) {
+                const std::size_t mc = std::min(kBlocking.mc, i1 - ic);
                 pack_a(buffers.a.data(), a, lda, trans_a, ic, mc, pc, kc);
                 for (std::size_t jr = 0; jr < nc; jr += kNR) {
                     const std::size_t nr = std::min(kNR, nc - jr);

@@ -20,7 +20,6 @@
 
 #include "xpcore/simd_kernels.hpp"
 
-#include <atomic>
 #include <cstdlib>
 
 #include "simd_poly.hpp"
@@ -31,35 +30,15 @@ namespace {
 
 constexpr std::size_t kMR = 14;          // microkernel rows
 constexpr std::size_t kNR = 32;          // microkernel cols (2 zmm)
-constexpr std::size_t kDefaultKC = 256;  // k panel
-constexpr std::size_t kDefaultMC = 140;  // row block (10 micro-panels of 14)
-constexpr std::size_t kDefaultNC = 960;  // col block (30 micro-panels of 32)
+// The one cache blocking of this level (kc, mc, nc): the k panel, the row
+// block (10 micro-panels of 14) and the column block (30 micro-panels of 32).
+constexpr GemmBlocking kBlocking{256, 140, 960};
 
-static_assert(kDefaultMC % kMR == 0 && kDefaultNC % kNR == 0);
-
-std::atomic<std::size_t> g_kc{kDefaultKC};
-std::atomic<std::size_t> g_mc{kDefaultMC};
-std::atomic<std::size_t> g_nc{kDefaultNC};
+static_assert(kBlocking.mc % kMR == 0 && kBlocking.nc % kNR == 0);
 
 }  // namespace
 
-GemmTile gemm_tile_avx512() { return {kMR, kNR}; }
-
-GemmBlocking default_gemm_blocking_avx512() { return {kDefaultKC, kDefaultMC, kDefaultNC}; }
-
-GemmBlocking gemm_blocking_avx512() {
-    return {g_kc.load(std::memory_order_relaxed), g_mc.load(std::memory_order_relaxed),
-            g_nc.load(std::memory_order_relaxed)};
-}
-
-void set_gemm_blocking_avx512(GemmBlocking blocking) {
-    const std::size_t kc = blocking.kc < 8 ? 8 : blocking.kc;
-    const std::size_t mc = blocking.mc < kMR ? kMR : blocking.mc - blocking.mc % kMR;
-    const std::size_t nc = blocking.nc < kNR ? kNR : blocking.nc - blocking.nc % kNR;
-    g_kc.store(kc, std::memory_order_relaxed);
-    g_mc.store(mc, std::memory_order_relaxed);
-    g_nc.store(nc, std::memory_order_relaxed);
-}
+GemmBlocking gemm_blocking_avx512() { return kBlocking; }
 
 }  // namespace xpcore::simd
 
@@ -268,15 +247,14 @@ void gemm_f32_avx512(std::size_t m, std::size_t n, std::size_t k, const float* a
     }
     if (k == 0) return;
 
-    const GemmBlocking blk = gemm_blocking_avx512();
-    PackBuffers& buffers = pack_buffers(blk.kc, blk.mc, blk.nc);
-    for (std::size_t jc = 0; jc < n; jc += blk.nc) {
-        const std::size_t nc = std::min(blk.nc, n - jc);
-        for (std::size_t pc = 0; pc < k; pc += blk.kc) {
-            const std::size_t kc = std::min(blk.kc, k - pc);
+    PackBuffers& buffers = pack_buffers(kBlocking.kc, kBlocking.mc, kBlocking.nc);
+    for (std::size_t jc = 0; jc < n; jc += kBlocking.nc) {
+        const std::size_t nc = std::min(kBlocking.nc, n - jc);
+        for (std::size_t pc = 0; pc < k; pc += kBlocking.kc) {
+            const std::size_t kc = std::min(kBlocking.kc, k - pc);
             pack_b(buffers.b.data(), b, ldb, trans_b, pc, kc, jc, nc);
-            for (std::size_t ic = i0; ic < i1; ic += blk.mc) {
-                const std::size_t mc = std::min(blk.mc, i1 - ic);
+            for (std::size_t ic = i0; ic < i1; ic += kBlocking.mc) {
+                const std::size_t mc = std::min(kBlocking.mc, i1 - ic);
                 pack_a(buffers.a.data(), a, lda, trans_a, ic, mc, pc, kc);
                 for (std::size_t jr = 0; jr < nc; jr += kNR) {
                     const std::size_t nr = std::min(kNR, nc - jr);

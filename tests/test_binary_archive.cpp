@@ -144,6 +144,35 @@ TEST(BinaryArchive, ArchiveRoundTripIsByteIdenticalText) {
     EXPECT_EQ(archive_text(loaded), archive_text(original));
 }
 
+TEST(BinaryArchive, StreamedCampaignRoundTripIsByteIdenticalText) {
+    // A 20-kernel x 150-point x 20-repetition campaign: parsed from text,
+    // then streamed into a binary archive one append commit per kernel,
+    // the binary re-serializes to the identical text.
+    ScratchDir scratch;
+    xpcore::Rng rng(7);
+    Archive campaign({"p0", "p1"});
+    for (int kernel = 0; kernel < 20; ++kernel) {
+        ExperimentSet set({"p0", "p1"});
+        for (int i = 0; i < 150; ++i) {
+            const double p0 = 2 + i % 96, p1 = 2 + (i + 7) % 96;
+            std::vector<double> values;
+            for (int r = 0; r < 20; ++r) {
+                values.push_back(p0 * p1 * (1 + 0.1 * rng.uniform(-1, 1)));
+            }
+            set.add({p0, p1}, values);
+        }
+        campaign.add("kernel" + std::to_string(kernel), "time", std::move(set));
+    }
+    const std::string text_path = scratch.path("campaign.txt");
+    save_archive_file(campaign, text_path);
+    const Archive from_text = load_archive_file(text_path);
+    const std::string binary_path = scratch.path("campaign.arch");
+    for (const ArchiveEntry& entry : from_text.entries()) {
+        append_binary_file(binary_path, entry.kernel, entry.metric, entry.experiments);
+    }
+    EXPECT_EQ(archive_text(load_binary_archive_file(binary_path)), archive_text(from_text));
+}
+
 TEST(BinaryArchive, EmptySetRoundTrips) {
     ScratchDir scratch;
     const ExperimentSet empty({"x", "y", "z"});

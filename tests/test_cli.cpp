@@ -77,6 +77,28 @@ TEST(Cli, ModelRegressionRecoversLinear) {
     EXPECT_NE(result.out.find("estimated noise"), std::string::npos);
 }
 
+TEST(Cli, DnnModelLeavesOnlyPretrainedBlobsInCacheDir) {
+    const std::string dir = ::testing::TempDir() + "/xpdnn_cli_dnn_cache_" +
+                            std::to_string(::getpid());
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    ::setenv("XPDNN_CACHE_DIR", dir.c_str(), 1);
+    const auto result =
+        run_cli({"model", write_linear_measurements(), "--modeler=dnn", "--net=tiny"});
+    ::unsetenv("XPDNN_CACHE_DIR");
+    ASSERT_EQ(result.code, 0) << result.err;
+
+    std::size_t blobs = 0;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+        const std::string name = entry.path().filename().string();
+        EXPECT_EQ(name.rfind("xpdnn_pretrained_", 0), 0u) << name;
+        EXPECT_EQ(entry.path().extension(), ".blob") << name;
+        ++blobs;
+    }
+    EXPECT_GT(blobs, 0u);
+    std::filesystem::remove_all(dir);
+}
+
 TEST(Cli, ModelMissingFileFails) {
     const auto result = run_cli({"model"});
     EXPECT_EQ(result.code, 1);

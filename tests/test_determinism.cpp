@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -99,27 +100,32 @@ TEST_F(GlobalPoolSweep, TrainingDataRngStateMatchesAfterGeneration) {
 }
 
 TEST_F(GlobalPoolSweep, PretrainAndModelIdenticalAcrossThreadCounts) {
-    // End-to-end acceptance: pretrain + model() selects the exact same
-    // model (terms and scores) at 0, 1, and 4 workers. The GEMM parallel
+    // End-to-end acceptance: pretrain() at the default pretrain_shards
+    // gives the same weight bytes, and model() selects the exact same model
+    // (terms and scores), at 0, 1, and 4 workers. The GEMM parallel
     // threshold is forced to 1 so even the tiny test matrices take the
     // parallel dispatch path.
     nn::set_gemm_parallel_threshold(1);
     const measure::ExperimentSet set = linear_kernel_set();
 
-    std::string baseline_model;
+    std::string baseline_weights, baseline_model;
     double baseline_cv = 0.0, baseline_fit = 0.0;
     for (std::size_t workers : {0u, 1u, 4u}) {
         xpcore::ThreadPool::reset_global(workers);
         dnn::DnnModeler modeler(tiny_config(), /*seed=*/11);
         modeler.pretrain();
+        std::ostringstream weights;
+        modeler.save_pretrained(weights);
         const regression::ModelResult result = modeler.model(set);
         const std::string description = result.model.to_string();
         if (workers == 0) {
+            baseline_weights = weights.str();
             baseline_model = description;
             baseline_cv = result.cv_smape;
             baseline_fit = result.fit_smape;
             EXPECT_FALSE(baseline_model.empty());
         } else {
+            EXPECT_TRUE(weights.str() == baseline_weights) << workers << " workers";
             EXPECT_EQ(description, baseline_model) << workers << " workers";
             EXPECT_EQ(result.cv_smape, baseline_cv) << workers << " workers";
             EXPECT_EQ(result.fit_smape, baseline_fit) << workers << " workers";

@@ -270,7 +270,7 @@ TEST(CacheTest, StoreIsAtomicNoTempLeftoversAndSafeUnderConcurrency) {
     // Regression for the torn-write bug: ensure_pretrained used to stream
     // the network straight into the final cache path, so a concurrent
     // reader could open a half-written file. The store now goes through a
-    // pid-suffixed temp file plus rename (the gemm_tune cache discipline):
+    // pid-suffixed temp file plus rename (xpcore/store.hpp):
     // the final path either does not exist or holds a complete network.
     const std::string dir =
         ::testing::TempDir() + "/xpdnn_cache_atomic_" + std::to_string(::getpid());
@@ -295,9 +295,7 @@ TEST(CacheTest, StoreIsAtomicNoTempLeftoversAndSafeUnderConcurrency) {
     racer.join();
 
     // The rename either installed a complete file or failed cleanly; no
-    // temp files may survive, and the final file must be a clean hit. (The
-    // GEMM autotuner shares the cache dir and may drop a gemm_tune_*.blob —
-    // only *.tmp leftovers indicate a torn store.)
+    // temp files may survive, and the final file must be a clean hit.
     ASSERT_TRUE(std::filesystem::exists(path));
     for (const auto& entry : std::filesystem::directory_iterator(dir)) {
         EXPECT_NE(entry.path().extension(), ".tmp")

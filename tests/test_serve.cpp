@@ -177,6 +177,37 @@ TEST(Serve, ModelThenPredictFromCachedReport) {
     EXPECT_NE(predicted.find("\"prediction\": 386"), std::string::npos) << predicted;
 }
 
+TEST(Serve, ConcurrentPredictRoundTripsAllSucceed) {
+    // Two connections x 250 predict round trips against one cached task:
+    // every reply is ok and the server counts no failed request.
+    serve::Server server(fast_config());
+    {
+        serve::Client client(server.bound_port());
+        const std::string modeled = client.request(model_request("hot", "regression"), 30'000);
+        ASSERT_TRUE(is_ok(modeled)) << modeled;
+    }
+    std::vector<std::size_t> failures(2, 0);
+    std::vector<std::thread> clients;
+    for (std::size_t c = 0; c < failures.size(); ++c) {
+        clients.emplace_back([&, c] {
+            try {
+                serve::Client client(server.bound_port());
+                for (int i = 0; i < 250; ++i) {
+                    const std::string reply = client.request(
+                        "{\"verb\": \"predict\", \"task\": \"hot\", \"point\": [128]}",
+                        30'000);
+                    if (!is_ok(reply)) ++failures[c];
+                }
+            } catch (const std::exception&) {
+                ++failures[c];
+            }
+        });
+    }
+    for (auto& thread : clients) thread.join();
+    EXPECT_EQ(failures, std::vector<std::size_t>(2, 0));
+    EXPECT_EQ(server.stats().requests_failed, 0u);
+}
+
 TEST(Serve, ErrorEnvelopes) {
     serve::ServerConfig config = fast_config();
     config.workers = 1;

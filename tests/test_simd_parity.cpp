@@ -7,7 +7,8 @@
 //    [-20, 20] (documented max error < 5e-7) at every vector width;
 //  * AdaMax — the scalar fallback is bit-identical to a hand-written
 //    reference loop, the fused SIMD steps are tolerance-checked;
-//  * LevelGuard behavior for the AVX-512 level (pin, nest, clamp, restore);
+//  * LevelGuard behavior for the AVX-512 level (pin, nest, clamp, restore),
+//    and the compiled GEMM blocking of each level in the provenance block;
 //  * a full train-then-classify oracle over the case-study kernel snapshot:
 //    the classifiers trained at every dispatch level must select identical
 //    top-3 hypothesis class sets for every kernel.
@@ -26,6 +27,7 @@
 #include "dnn/modeler.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/tensor.hpp"
+#include "xpcore/provenance.hpp"
 #include "xpcore/rng.hpp"
 #include "xpcore/simd.hpp"
 #include "xpcore/simd_kernels.hpp"
@@ -75,14 +77,15 @@ double max_rel_diff(const Tensor& a, const Tensor& b) {
 
 // Shapes chosen to hit every microkernel edge at both vector widths: full
 // 6x16 (AVX2) and 14x32 (AVX-512) tiles, row tails (m % 6, m % 14), column
-// tails (n % 16, n % 32), k tails, the inference shape (1 x 11 x 43), and
-// sizes crossing the KC=256 panel boundary.
+// tails (n % 16, n % 32), k tails, the inference shape (1 x 11 x 43),
+// sizes crossing the KC=256 panel boundary, and one shape crossing every
+// blocking boundary of both levels (MC 96/140, NC 768/960).
 struct Shape {
     std::size_t m, k, n;
 };
 const Shape kShapes[] = {
     {1, 11, 43}, {6, 16, 16},  {7, 17, 33},   {13, 5, 9},    {12, 256, 32},
-    {5, 300, 7}, {97, 131, 61}, {128, 11, 43}, {64, 257, 48},
+    {5, 300, 7}, {97, 131, 61}, {128, 11, 43}, {64, 257, 48}, {150, 300, 1000},
 };
 
 template <typename Gemm>
@@ -354,6 +357,20 @@ TEST(SimdDispatch, LevelGuardPinsAndRestoresAvx512) {
         if (have_avx512()) EXPECT_EQ(xpcore::simd::active_level(), Level::Avx512);
     }
     EXPECT_EQ(xpcore::simd::active_level(), before);
+}
+
+TEST(SimdDispatch, ProvenanceListsTheCompiledBlockingOfEachRunnableLevel) {
+    const std::string json = xpcore::machine_provenance_json(0);
+    EXPECT_NE(json.find("\"gemm_blocking\": ["), std::string::npos) << json;
+    EXPECT_EQ(json.find("\"source\""), std::string::npos) << json;
+    const bool lists_avx2 =
+        json.find("{\"level\": \"avx2\", \"kc\": 256, \"mc\": 96, \"nc\": 768}") !=
+        std::string::npos;
+    const bool lists_avx512 =
+        json.find("{\"level\": \"avx512\", \"kc\": 256, \"mc\": 140, \"nc\": 960}") !=
+        std::string::npos;
+    EXPECT_EQ(lists_avx2, have_avx2()) << json;
+    EXPECT_EQ(lists_avx512, have_avx512()) << json;
 }
 
 TEST(SimdDispatch, LevelNamesAndParseSemantics) {

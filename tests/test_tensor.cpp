@@ -2,7 +2,9 @@
 // triple-loop reference oracle over random shapes — including degenerate
 // inference shapes (m=1, k=11), sizes straddling the parallel-dispatch
 // threshold, and accumulate on/off for all three variants — and pinned to
-// be bit-identical between a serial pool and a 4-worker pool.
+// be bit-identical between a serial pool and a 4-worker pool. At the scalar
+// level the blocked kernels are also pinned bit for bit to the seed
+// library's unblocked loops.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,7 @@
 
 #include "nn/tensor.hpp"
 #include "xpcore/rng.hpp"
+#include "xpcore/simd.hpp"
 #include "xpcore/thread_pool.hpp"
 
 namespace {
@@ -53,6 +56,52 @@ void expect_identical(const Tensor& actual, const Tensor& expected) {
     ASSERT_EQ(actual.rows(), expected.rows());
     ASSERT_EQ(actual.cols(), expected.cols());
     EXPECT_EQ(std::memcmp(actual.data(), expected.data(), actual.size() * sizeof(float)), 0);
+}
+
+// The seed library's unblocked single-threaded loops. The blocked scalar
+// kernels only re-block and re-partition rows, never reorder the sum of one
+// output element, so they must reproduce these bit for bit.
+void seed_gemm_nn(const Tensor& a, const Tensor& b, Tensor& c) {
+    const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
+    c.fill(0.0f);
+    for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t kk = 0; kk < k; ++kk) {
+            const float aik = a(i, kk);
+            if (aik == 0.0f) continue;
+            for (std::size_t j = 0; j < n; ++j) c(i, j) += aik * b(kk, j);
+        }
+    }
+}
+
+void seed_gemm_nt(const Tensor& a, const Tensor& b, Tensor& c) {
+    const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
+    for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+            float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
+            std::size_t kk = 0;
+            for (; kk + 4 <= k; kk += 4) {
+                s0 += a(i, kk) * b(j, kk);
+                s1 += a(i, kk + 1) * b(j, kk + 1);
+                s2 += a(i, kk + 2) * b(j, kk + 2);
+                s3 += a(i, kk + 3) * b(j, kk + 3);
+            }
+            float sum = (s0 + s1) + (s2 + s3);
+            for (; kk < k; ++kk) sum += a(i, kk) * b(j, kk);
+            c(i, j) = sum;
+        }
+    }
+}
+
+void seed_gemm_tn(const Tensor& a, const Tensor& b, Tensor& c) {
+    const std::size_t k = a.rows(), m = a.cols(), n = b.cols();
+    c.fill(0.0f);
+    for (std::size_t kk = 0; kk < k; ++kk) {
+        for (std::size_t i = 0; i < m; ++i) {
+            const float aki = a(kk, i);
+            if (aki == 0.0f) continue;
+            for (std::size_t j = 0; j < n; ++j) c(i, j) += aki * b(kk, j);
+        }
+    }
 }
 
 /// Forces the parallel dispatch path for the guarded scope (and restores
@@ -248,6 +297,33 @@ INSTANTIATE_TEST_SUITE_P(Shapes, GemmThreaded,
                                            std::make_tuple(64, 65, 66),
                                            std::make_tuple(128, 11, 43),  // training batch
                                            std::make_tuple(97, 300, 31)));
+
+TEST(Gemm, ScalarBlockedKernelsBitIdenticalToSeedLoops) {
+    xpcore::simd::LevelGuard scalar(xpcore::simd::Level::Scalar);
+    xpcore::SerialGuard serial;
+    // (m, k, n): square products, the batch-16 forward product and the
+    // batch-16 backward dW product.
+    for (const std::size_t n : {64u, 96u}) {
+        const std::size_t shapes[][3] = {{n, n, n}, {16, n, n}, {n, 16, n}};
+        for (const auto& [m, k, cols] : shapes) {
+            xpcore::Rng rng(m * 7919 + k * 131 + cols);
+            const Tensor a = random_tensor(m, k, rng);
+            const Tensor at = transpose(a);
+            const Tensor b = random_tensor(k, cols, rng);
+            const Tensor bt = transpose(b);
+            Tensor expected(m, cols), actual(m, cols);
+            seed_gemm_nn(a, b, expected);
+            gemm_nn(a, b, actual);
+            expect_identical(actual, expected);
+            seed_gemm_nt(a, bt, expected);
+            gemm_nt(a, bt, actual);
+            expect_identical(actual, expected);
+            seed_gemm_tn(at, b, expected);
+            gemm_tn(at, b, actual);
+            expect_identical(actual, expected);
+        }
+    }
+}
 
 TEST(Gemm, ParallelThresholdKnob) {
     EXPECT_GT(nn::gemm_parallel_threshold(), 0u);

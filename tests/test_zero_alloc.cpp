@@ -1,8 +1,7 @@
 // Zero-allocation guarantees of the workspace-backed hot paths: after a
 // warm-up pass has sized every buffer, (a) further training epochs — serial
 // and gradient-sharded — and (b) further batched classify_lines_into calls
-// must not touch the heap. Enforced with a counting global operator new —
-// the same mechanism tools/bench_record.cpp uses to *measure* allocs/step.
+// must not touch the heap. Enforced with a counting global operator new.
 // Tensor buffers allocate through the over-aligned operator new
 // (xpcore/aligned.hpp), so the aligned forms are interposed too: without
 // them, Tensor growth would be invisible to the counter.
